@@ -265,10 +265,22 @@ func (f *Frontier) RemoveBackend(name string) error {
 	return nil
 }
 
+// hash64 places names and keys on the ring: FNV-64a followed by the
+// murmur3 fmix64 finalizer. FNV alone leaves the high bits nearly unchanged
+// across strings that differ only in a trailing digit ("w1#0".."w1#63",
+// "key-0".."key-999"), which clusters a backend's vnodes and hands most of
+// the ring to one backend; the finalizer spreads every input bit over all
+// 64 output bits.
 func hash64(s string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(s))
-	return h.Sum64()
+	x := h.Sum64()
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return x
 }
 
 // replicaSet returns the key's first r distinct ring owners, clockwise from

@@ -61,6 +61,47 @@ func TestRingRoutingStability(t *testing.T) {
 	}
 }
 
+// TestRingShareBalanced: backends named like a deployment's (w1, w2, ...)
+// each own a fair share of the ring, both as hash-space arcs and as routed
+// keys. Names and keys that differ only in a trailing digit must not
+// cluster on the ring.
+func TestRingShareBalanced(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, names := range [][]string{{"w1", "w2"}, {"w1", "w2", "w3"}} {
+		addrs := make([]string, len(names))
+		for i := range names {
+			addrs[i] = fmt.Sprintf("127.0.0.1:%d", 18451+i)
+		}
+		f := New(ctx, Config{Backends: addrs, Names: names, HealthInterval: time.Hour})
+		tbl := f.table()
+		// Entry i owns the arc (ring[i-1].hash, ring[i].hash]; uint64
+		// subtraction wraps, so entry 0 owns the arc across zero.
+		arc := make([]float64, len(names))
+		for i, e := range tbl.ring {
+			prev := tbl.ring[(i+len(tbl.ring)-1)%len(tbl.ring)].hash
+			arc[e.idx] += float64(e.hash-prev) / (1 << 64)
+		}
+		keys := make([]float64, len(names))
+		const nkeys = 1000
+		for i := 0; i < nkeys; i++ {
+			owner := f.Owner(fmt.Sprintf("key-%d", i))
+			for j, n := range names {
+				if n == owner {
+					keys[j] += 1.0 / nkeys
+				}
+			}
+		}
+		floor := 0.6 / float64(len(names))
+		for j, n := range names {
+			if arc[j] < floor || keys[j] < floor {
+				t.Errorf("names %v: %s owns %.1f%% of the ring and %.1f%% of keys; want >= %.1f%% each",
+					names, n, 100*arc[j], 100*keys[j], 100*floor)
+			}
+		}
+	}
+}
+
 // TestUnhealthyBackendsDemoted: order keeps unhealthy replicas as a last
 // resort rather than dropping them from the candidate list.
 func TestUnhealthyBackendsDemoted(t *testing.T) {
@@ -291,11 +332,12 @@ func TestHedgingFirstResultWins(t *testing.T) {
 		Hedge:          true,
 		HedgeDelay:     20 * time.Millisecond,
 	})
-	// Find a key whose primary is the slow backend.
+	// Find a key whose primary is the slow backend (unnamed backends are
+	// named by their address).
 	key := ""
 	for i := 0; i < 1000; i++ {
 		k := fmt.Sprintf("key-%d", i)
-		if f.order(k)[0].addr == slowAddr {
+		if f.Owner(k) == slowAddr {
 			key = k
 			break
 		}

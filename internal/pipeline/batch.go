@@ -61,15 +61,6 @@ func (e *Engine) analyzeBatchCore(ctx context.Context, reqs []Request, deliver f
 		workers = len(reqs)
 	}
 
-	// Batch slots default to intra=1 — inter-request parallelism already
-	// occupies the pool, and oversubscribing would only add contention.
-	// When the batch cannot fill the pool, the idle workers are handed to
-	// the slots as intra-program parallelism instead.
-	slotIntra := 1
-	if len(reqs) < e.cfg.Workers {
-		slotIntra = e.cfg.Workers / len(reqs)
-	}
-
 	var warm, cold []int
 	for i := range reqs {
 		if e.probablyWarm(reqs[i]) {
@@ -115,7 +106,7 @@ func (e *Engine) analyzeBatchCore(ctx context.Context, reqs []Request, deliver f
 					emit(BatchResult{Index: i, Err: err})
 					continue
 				}
-				emit(e.analyzeSlot(ctx, i, reqs[i], slotIntra))
+				emit(e.analyzeSlot(ctx, i, reqs[i]))
 			}
 		}()
 	}
@@ -146,7 +137,7 @@ func (e *Engine) probablyWarm(req Request) bool {
 // analyzeSlot runs one batch slot with a recover backstop. Analyze already
 // isolates stage panics; this guards the slot against panics anywhere else
 // so one poisoned request can never take down the pool.
-func (e *Engine) analyzeSlot(ctx context.Context, i int, req Request, intra int) (br BatchResult) {
+func (e *Engine) analyzeSlot(ctx context.Context, i int, req Request) (br BatchResult) {
 	br.Index = i
 	defer func() {
 		if r := recover(); r != nil {
@@ -154,6 +145,6 @@ func (e *Engine) analyzeSlot(ctx context.Context, i int, req Request, intra int)
 			br.Err = fmt.Errorf("request %d panicked: %v", i, r)
 		}
 	}()
-	br.Result, br.Err = e.analyzeIntra(ctx, req, intra)
+	br.Result, br.Err = e.Analyze(ctx, req)
 	return br
 }

@@ -33,7 +33,6 @@ import (
 
 	"dfg/internal/anticip"
 	"dfg/internal/bcfront"
-	"dfg/internal/bitset"
 	"dfg/internal/bytecode"
 	"dfg/internal/cdg"
 	"dfg/internal/cfg"
@@ -291,14 +290,6 @@ type Config struct {
 	DisableCache   bool          // bypass memoization entirely (cold-path measurement)
 	DefaultTimeout time.Duration // per-request timeout when Request.Timeout is 0; <=0 means 30s
 
-	// IntraWorkers bounds intra-program parallelism for a single Analyze
-	// call: the region-parallel DFG build and the word-partitioned solver
-	// fixpoints. <=0 means GOMAXPROCS. Batch slots ignore it — a saturated
-	// worker pool already uses every core on distinct programs, so each slot
-	// runs its stages serially (the outputs are byte-identical either way;
-	// see internal/dfg/parallel.go and internal/anticip/parallel.go).
-	IntraWorkers int
-
 	// Store, when set, adds the persistent tier behind AnalyzeReport's
 	// in-memory report LRU: computed reports are written through to it and
 	// survive process restarts. Open it with schema ReportSchemaVersion.
@@ -350,15 +341,6 @@ func New(c Config) *Engine {
 // Workers reports the engine's batch worker-pool size.
 func (e *Engine) Workers() int { return e.cfg.Workers }
 
-// IntraWorkers reports the resolved intra-program worker bound for single
-// Analyze calls.
-func (e *Engine) IntraWorkers() int {
-	if e.cfg.IntraWorkers > 0 {
-		return e.cfg.IntraWorkers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // key returns the content address of (source, options): the cache identity
 // of all stage artifacts for that pair.
 func key(source string, o Options) string {
@@ -372,12 +354,6 @@ func key(source string, o Options) string {
 // down by a malformed program. Cancellation and deadlines on ctx are
 // observed at stage boundaries.
 func (e *Engine) Analyze(ctx context.Context, req Request) (*Result, error) {
-	return e.analyzeIntra(ctx, req, e.IntraWorkers())
-}
-
-// analyzeIntra is Analyze with an explicit intra-program worker bound:
-// single requests get the engine's IntraWorkers, batch slots run with 1.
-func (e *Engine) analyzeIntra(ctx context.Context, req Request, intra int) (*Result, error) {
 	e.metrics.requests.Add(1)
 	stages := req.Stages
 	if len(stages) == 0 {
@@ -406,7 +382,7 @@ func (e *Engine) analyzeIntra(ctx context.Context, req Request, intra int) (*Res
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if err := e.runStage(st, req, res, intra); err != nil {
+		if err := e.runStage(st, req, res); err != nil {
 			return nil, err
 		}
 	}
@@ -415,7 +391,7 @@ func (e *Engine) analyzeIntra(ctx context.Context, req Request, intra int) (*Res
 
 // runStage satisfies one stage of one request from the cache or by
 // computing it, updating metrics either way.
-func (e *Engine) runStage(st Stage, req Request, res *Result, intra int) error {
+func (e *Engine) runStage(st Stage, req Request, res *Result) error {
 	ck := stageKey(res.Key, st, req.Options)
 	if e.cache != nil {
 		if v, ok := e.cache.get(ck); ok {
@@ -427,7 +403,7 @@ func (e *Engine) runStage(st Stage, req Request, res *Result, intra int) error {
 	}
 	ab0, ao0 := heapAllocs()
 	start := time.Now()
-	v, err := e.computeStage(st, req, res, intra)
+	v, err := e.computeStage(st, req, res)
 	elapsed := time.Since(start)
 	ab1, ao1 := heapAllocs()
 	m := e.metrics.stage(st)
@@ -462,7 +438,7 @@ func stageKey(resKey string, st Stage, opts Options) string {
 }
 
 // computeStage dispatches to the analysis packages with panic isolation.
-func (e *Engine) computeStage(st Stage, req Request, res *Result, intra int) (v any, err error) {
+func (e *Engine) computeStage(st Stage, req Request, res *Result) (v any, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &StageError{Stage: st, Panicked: true, Err: fmt.Errorf("%v", r)}
@@ -471,7 +447,7 @@ func (e *Engine) computeStage(st Stage, req Request, res *Result, intra int) (v 
 	if e.cfg.StageHook != nil {
 		e.cfg.StageHook(st, req.Source)
 	}
-	v, cerr := compute(st, req.Options, res, intra)
+	v, cerr := compute(st, req.Options, res)
 	if cerr != nil {
 		return nil, &StageError{Stage: st, Err: cerr}
 	}
@@ -482,10 +458,8 @@ func (e *Engine) computeStage(st Stage, req Request, res *Result, intra int) (v 
 }
 
 // compute produces the artifact of one stage from its (already installed)
-// dependencies. It must not mutate anything reachable from res. intra
-// bounds intra-program parallelism; every stage's output is byte-identical
-// at any intra value, so cache keys are unaffected.
-func compute(st Stage, opts Options, res *Result, intra int) (any, error) {
+// dependencies. It must not mutate anything reachable from res.
+func compute(st Stage, opts Options, res *Result) (any, error) {
 	switch st {
 	case StageParse:
 		switch opts.SourceKind {
@@ -505,7 +479,7 @@ func compute(st Stage, opts Options, res *Result, intra int) (any, error) {
 	case StageCDG:
 		return cdg.BuildFactored(res.CFG), nil
 	case StageDFG:
-		return dfg.BuildParallelWithInfo(res.CFG, res.Regions, intra)
+		return dfg.BuildWithInfo(res.CFG, res.Regions)
 	case StageSSA:
 		out := &SSAResult{Base: ssa.Cytron(res.CFG), Derived: ssa.FromDFG(res.DFG)}
 		if err := ssa.EquivalentOnUses(out.Base, out.Derived); err != nil {
@@ -536,12 +510,7 @@ func compute(st Stage, opts Options, res *Result, intra int) (any, error) {
 		exprs := epr.CandidateExprs(res.CFG)
 		fam := anticip.NewFamily(res.CFG, exprs)
 		var cost dataflow.Counter
-		var ant, pan *bitset.Matrix
-		if intra > 1 {
-			ant, pan = fam.SolveDFGOpsParallel(res.DFG, res.DFG.OpsByVar(), nil, intra, &cost)
-		} else {
-			ant, pan = fam.SolveDFG(res.DFG, &cost)
-		}
+		ant, pan := fam.SolveDFG(res.DFG, &cost)
 		for k, ex := range exprs {
 			ea := ExprAnticip{Expr: ex.String()}
 			for eid := 0; eid < res.CFG.NumEdges(); eid++ {
@@ -557,7 +526,7 @@ func compute(st Stage, opts Options, res *Result, intra int) (any, error) {
 		return out, nil
 	case StageEPR:
 		out := &EPRResult{}
-		b, err := epr.AnalyzeBatchWorkers(res.CFG, epr.CandidateExprs(res.CFG), epr.DriverDFG, res.DFG, intra)
+		b, err := epr.AnalyzeBatch(res.CFG, epr.CandidateExprs(res.CFG), epr.DriverDFG, res.DFG)
 		if err != nil {
 			return nil, err
 		}
@@ -574,7 +543,7 @@ func compute(st Stage, opts Options, res *Result, intra int) (any, error) {
 			sort.Ints(pe.Delete)
 			out.PerExpr = append(out.PerExpr, pe)
 		}
-		opt, st2, err := epr.ApplyWorkers(res.CFG, epr.DriverDFG, intra)
+		opt, st2, err := epr.Apply(res.CFG, epr.DriverDFG)
 		if err != nil {
 			return nil, err
 		}

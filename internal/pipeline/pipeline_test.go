@@ -216,7 +216,7 @@ func serialReport(t *testing.T, src string) Report {
 
 func mustCompute(t *testing.T, st Stage, res *Result) any {
 	t.Helper()
-	v, err := compute(st, Options{}, res, 1)
+	v, err := compute(st, Options{}, res)
 	if err != nil {
 		t.Fatalf("stage %s: %v", st, err)
 	}

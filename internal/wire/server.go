@@ -181,6 +181,10 @@ func (s *Server) serveConn(conn net.Conn) {
 	send := func(kind byte, v any) error {
 		writeMu.Lock()
 		defer writeMu.Unlock()
+		// Per-frame write deadline: without it the handshake's SetDeadline
+		// would still bound every later write, failing any frame sent more
+		// than HandshakeTimeout after the connection opened.
+		conn.SetWriteDeadline(time.Now().Add(s.opts.IdleTimeout))
 		if err := writeFrame(bw, kind, v); err != nil {
 			return err
 		}

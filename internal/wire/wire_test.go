@@ -93,6 +93,27 @@ func TestHandshakeAndBatchStreaming(t *testing.T) {
 	}
 }
 
+// TestWritesOutliveHandshakeDeadline: the handshake deadline bounds only
+// the hello exchange. A connection that sits idle past HandshakeTimeout
+// must still carry a batch's result frames.
+func TestWritesOutliveHandshakeDeadline(t *testing.T) {
+	addr, _ := startServer(t, echoHandler(0), ServerOptions{HandshakeTimeout: 50 * time.Millisecond})
+	c, err := Dial(addr, ClientOptions{Schema: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	time.Sleep(100 * time.Millisecond)
+	items := []Item{{Program: "p0"}, {Program: "p1"}}
+	n := 0
+	if err := c.AnalyzeBatch(context.Background(), items, func(Result) { n++ }); err != nil {
+		t.Fatalf("batch after idle: %v", err)
+	}
+	if n != len(items) {
+		t.Fatalf("got %d results, want %d", n, len(items))
+	}
+}
+
 func TestItemFailuresAndPanicsAreIsolated(t *testing.T) {
 	addr, _ := startServer(t, echoHandler(0), ServerOptions{})
 	c, err := Dial(addr, ClientOptions{Schema: 1})
